@@ -6,12 +6,42 @@
 //! association between them is the `loc` pointer column (§2.1) plus the
 //! *backward* map from objects to tuples maintained here.
 
+use crate::backlinks::Backlinks;
 use crate::error::PsqlError;
 use crate::picture::Picture;
 use pictorial_relational::{Catalog, ColumnType, Schema, TupleId, Value};
 use rtree_geom::{Rect, SpatialObject};
 use rtree_index::RTreeConfig;
 use std::collections::HashMap;
+
+/// One `(relation, loc column) → picture` association with its backward
+/// pointers (DESIGN §18).
+#[derive(Debug, Clone)]
+pub(crate) struct Association {
+    relation: String,
+    column: String,
+    /// `column`'s index in the relation's schema.
+    col: usize,
+    picture: String,
+    links: Backlinks,
+}
+
+impl Association {
+    /// The pointer column's index in its relation's schema.
+    pub(crate) fn column_index(&self) -> usize {
+        self.col
+    }
+
+    /// The picture the column points into.
+    pub(crate) fn picture(&self) -> &str {
+        &self.picture
+    }
+
+    /// Tuples whose pointer equals `object`, in insertion order.
+    pub(crate) fn tuples_of(&self, object: u64) -> &[TupleId] {
+        self.links.get(object)
+    }
+}
 
 /// The integrated pictorial + alphanumeric database PSQL runs against.
 ///
@@ -25,10 +55,9 @@ use std::collections::HashMap;
 pub struct PictorialDatabase {
     catalog: Catalog,
     pictures: HashMap<String, Picture>,
-    /// `(relation, loc-column) → picture` association.
-    associations: HashMap<(String, String), String>,
-    /// `(relation, loc-column) → object id → tuples` backward pointers.
-    backlinks: HashMap<(String, String), HashMap<u64, Vec<TupleId>>>,
+    /// Every association, in declaration order (at most one per
+    /// `(relation, loc column)`).
+    associations: Vec<Association>,
     /// Named location constants usable in `at`-clauses (§2.2: "a name of
     /// a location predefined outside the retrieve mapping").
     locations: HashMap<String, Rect>,
@@ -41,8 +70,7 @@ impl PictorialDatabase {
         PictorialDatabase {
             catalog: Catalog::new(),
             pictures: HashMap::new(),
-            associations: HashMap::new(),
-            backlinks: HashMap::new(),
+            associations: Vec::new(),
             locations: HashMap::new(),
             config,
         }
@@ -105,8 +133,8 @@ impl PictorialDatabase {
         picture: &str,
     ) -> Result<(), PsqlError> {
         let rel = self.catalog.relation(relation)?;
-        match rel.schema().column(column) {
-            Some(c) if c.ty == ColumnType::Pointer => {}
+        let col = match rel.schema().index_of(column) {
+            Some(i) if rel.schema().columns()[i].ty == ColumnType::Pointer => i,
             Some(_) => {
                 return Err(PsqlError::Semantic(format!(
                     "{relation}.{column} is not a pointer column"
@@ -117,65 +145,80 @@ impl PictorialDatabase {
                     "no column {column:?} in {relation:?}"
                 )))
             }
-        }
-        self.picture(picture)?;
-        self.associations
-            .insert((relation.to_owned(), column.to_owned()), picture.to_owned());
+        };
+        let objects = self.picture(picture)?.len();
         // Backfill backward pointers for tuples inserted before the
         // association was declared, so association order doesn't matter.
-        let col_idx = self
-            .catalog
-            .relation(relation)?
-            .schema()
-            .index_of(column)
-            .ok_or_else(|| {
-                PsqlError::Internal(format!("column {column:?} vanished from {relation:?}"))
-            })?;
-        let mut map: HashMap<u64, Vec<TupleId>> = HashMap::new();
-        for (tid, tuple) in self.catalog.relation(relation)?.scan() {
-            if let Some(obj) = tuple[col_idx].as_pointer() {
-                map.entry(obj).or_default().push(tid);
+        let mut links = Backlinks::default();
+        for (tid, tuple) in rel.scan() {
+            if let Some(obj) = tuple[col].as_pointer() {
+                links.insert(obj, tid, objects);
             }
         }
-        self.backlinks
-            .insert((relation.to_owned(), column.to_owned()), map);
+        let association = Association {
+            relation: relation.to_owned(),
+            column: column.to_owned(),
+            col,
+            picture: picture.to_owned(),
+            links,
+        };
+        // A re-declared association keeps its place in declaration order.
+        match self
+            .associations
+            .iter_mut()
+            .find(|a| a.relation == relation && a.column == column)
+        {
+            Some(existing) => *existing = association,
+            None => self.associations.push(association),
+        }
         Ok(())
+    }
+
+    /// The associations of `relation`'s loc columns, in declaration order.
+    pub(crate) fn associations<'a>(
+        &'a self,
+        relation: &'a str,
+    ) -> impl Iterator<Item = &'a Association> + 'a {
+        self.associations
+            .iter()
+            .filter(move |a| a.relation == relation)
+    }
+
+    fn find_association(&self, relation: &str, column: &str) -> Option<&Association> {
+        self.associations
+            .iter()
+            .find(|a| a.relation == relation && a.column == column)
     }
 
     /// The picture `relation.column` points into.
     pub fn association(&self, relation: &str, column: &str) -> Option<&str> {
-        self.associations
-            .get(&(relation.to_owned(), column.to_owned()))
-            .map(String::as_str)
+        self.find_association(relation, column)
+            .map(Association::picture)
     }
 
-    /// The `loc` (pointer) columns of a relation, with their pictures.
-    pub fn loc_columns(&self, relation: &str) -> Vec<(String, String)> {
+    /// The `loc` (pointer) columns of a relation with their pictures, in
+    /// the order their associations were declared.
+    pub fn loc_columns(&self, relation: &str) -> Vec<(&str, &str)> {
         self.associations
             .iter()
-            .filter(|((r, _), _)| r == relation)
-            .map(|((_, c), p)| (c.clone(), p.clone()))
+            .filter(|a| a.relation == relation)
+            .map(|a| (a.column.as_str(), a.picture.as_str()))
             .collect()
     }
 
     /// Inserts a tuple, maintaining indexes and object→tuple backlinks
     /// for every associated pointer column.
     pub fn insert(&mut self, relation: &str, tuple: Vec<Value>) -> Result<TupleId, PsqlError> {
-        let schema = self.catalog.relation(relation)?.schema().clone();
-        let tid = self.catalog.insert(relation, tuple.clone())?;
-        for (i, col) in schema.columns().iter().enumerate() {
-            if col.ty == ColumnType::Pointer {
-                if let Some(obj) = tuple[i].as_pointer() {
-                    let key = (relation.to_owned(), col.name.clone());
-                    if self.associations.contains_key(&key) {
-                        self.backlinks
-                            .entry(key)
-                            .or_default()
-                            .entry(obj)
-                            .or_default()
-                            .push(tid);
-                    }
-                }
+        let tid = self.catalog.insert(relation, tuple)?;
+        let stored = self.catalog.relation(relation)?.get(tid)?;
+        for a in self
+            .associations
+            .iter_mut()
+            .filter(|a| a.relation == relation)
+        {
+            if let Some(obj) = stored[a.col].as_pointer() {
+                let objects = self.pictures.get(&a.picture).map_or(0, Picture::len);
+                a.links.insert(obj, tid, objects);
             }
         }
         Ok(tid)
@@ -183,18 +226,14 @@ impl PictorialDatabase {
 
     /// Deletes a tuple, maintaining indexes and backlinks.
     pub fn delete(&mut self, relation: &str, tid: TupleId) -> Result<Vec<Value>, PsqlError> {
-        let schema = self.catalog.relation(relation)?.schema().clone();
         let tuple = self.catalog.delete(relation, tid)?;
-        for (i, col) in schema.columns().iter().enumerate() {
-            if col.ty == ColumnType::Pointer {
-                if let Some(obj) = tuple[i].as_pointer() {
-                    let key = (relation.to_owned(), col.name.clone());
-                    if let Some(map) = self.backlinks.get_mut(&key) {
-                        if let Some(list) = map.get_mut(&obj) {
-                            list.retain(|&t| t != tid);
-                        }
-                    }
-                }
+        for a in self
+            .associations
+            .iter_mut()
+            .filter(|a| a.relation == relation)
+        {
+            if let Some(obj) = tuple[a.col].as_pointer() {
+                a.links.remove(obj, tid);
             }
         }
         Ok(tuple)
@@ -205,11 +244,8 @@ impl PictorialDatabase {
     /// to select the relation's tuples … when it retrieves using the
     /// picture").
     pub fn tuples_of_object(&self, relation: &str, column: &str, object: u64) -> &[TupleId] {
-        self.backlinks
-            .get(&(relation.to_owned(), column.to_owned()))
-            .and_then(|m| m.get(&object))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.find_association(relation, column)
+            .map_or(&[], |a| a.tuples_of(object))
     }
 
     /// Defines (or replaces) a named location constant for `at`-clauses:
@@ -554,6 +590,28 @@ mod tests {
         assert!(db.tuples_of_object("things", "loc", obj).is_empty());
         db.associate("things", "loc", "pic").unwrap();
         assert_eq!(db.tuples_of_object("things", "loc", obj), &[tid]);
+    }
+
+    #[test]
+    fn out_of_range_pointer_is_reachable_without_sizing_the_table() {
+        let mut db = PictorialDatabase::with_us_map();
+        let objects = db.picture("us-map").unwrap().len();
+        let far = db
+            .insert(
+                "cities",
+                vec![
+                    "Nowhere".into(),
+                    "XX".into(),
+                    0i64.into(),
+                    Value::Pointer(u64::MAX),
+                ],
+            )
+            .unwrap();
+        assert_eq!(db.tuples_of_object("cities", "loc", u64::MAX), &[far]);
+        let cities = db.associations("cities").next().unwrap();
+        assert!(cities.links.dense_len() <= objects);
+        db.delete("cities", far).unwrap();
+        assert!(db.tuples_of_object("cities", "loc", u64::MAX).is_empty());
     }
 
     #[test]

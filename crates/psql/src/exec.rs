@@ -1,16 +1,25 @@
 //! The PSQL executor.
+//!
+//! Each execution first resolves its plan's catalog references once
+//! ([`Bound`]): the `from` relations by slot, and every associated loc
+//! column with its backlink table and picture. Building rows then does
+//! no name lookups, so it costs O(rows) (DESIGN §18).
 
-use crate::ast::{ColumnRef, Expr, Operand, Query};
-use crate::database::PictorialDatabase;
+use crate::ast::Query;
+use crate::database::{Association, PictorialDatabase};
 use crate::error::PsqlError;
 use crate::functions::FunctionRegistry;
 use crate::join::{picture_join, JoinStats};
-use crate::plan::{self, Access, Plan, Projection, ResolvedColumn, SpatialStrategy};
+use crate::picture::Picture;
+use crate::plan::{
+    self, Access, Filter, FilterOperand, Plan, Projection, ResolvedColumn, SpatialStrategy,
+};
 use crate::result::{Highlight, ResultSet};
 use crate::spatial::SpatialOp;
-use pictorial_relational::{ColumnType, TupleId, Value};
+use pictorial_relational::{ColumnType, Relation, TupleId, Value};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, ItemId, SearchScratch};
+use std::collections::HashSet;
 
 /// Plans and executes a query with the built-in pictorial functions.
 pub fn execute(db: &PictorialDatabase, query: &Query) -> Result<ResultSet, PsqlError> {
@@ -64,8 +73,9 @@ pub fn execute_plan_with_scratch(
     functions: &FunctionRegistry,
     scratch: &mut SearchScratch,
 ) -> Result<ResultSet, PsqlError> {
-    let rows = candidate_rows(db, plan, functions, scratch)?;
-    finish_rows(db, plan, functions, rows)
+    let bound = Bound::new(db, plan)?;
+    let rows = bound.candidate_rows(functions, scratch)?;
+    bound.finish(functions, rows)
 }
 
 /// Plans and executes a pack of queries, reusing a caller-owned
@@ -120,6 +130,13 @@ pub fn execute_batch_with_scratch(
         }
     }
 
+    // Rows of one batched search's objects, then the rest of execution.
+    let finish_objects = |plan: &Plan, column: ResolvedColumn, objs: &[u64]| {
+        let bound = Bound::new(db, plan)?;
+        let rows = bound.objects_to_rows(column, objs);
+        bound.finish(functions, rows)
+    };
+
     for (picture_name, idxs) in window_groups {
         match db.picture(&picture_name) {
             Ok(pic) => {
@@ -139,10 +156,7 @@ pub fn execute_batch_with_scratch(
                     let SpatialStrategy::Window { column, .. } = &plan.spatial else {
                         unreachable!()
                     };
-                    out[i] = Some(
-                        objects_to_rows(db, plan, *column, objs)
-                            .and_then(|rows| finish_rows(db, plan, functions, rows)),
-                    );
+                    out[i] = Some(finish_objects(plan, *column, objs));
                 }
             }
             Err(_) => {
@@ -180,10 +194,7 @@ pub fn execute_batch_with_scratch(
                     let SpatialStrategy::Nearest { column, .. } = &plan.spatial else {
                         unreachable!()
                     };
-                    out[i] = Some(
-                        objects_to_rows(db, plan, *column, objs)
-                            .and_then(|rows| finish_rows(db, plan, functions, rows)),
-                    );
+                    out[i] = Some(finish_objects(plan, *column, objs));
                 }
             }
             Err(_) => {
@@ -205,412 +216,397 @@ pub fn execute_batch_with_scratch(
         .collect()
 }
 
-/// Turns candidate rows into a [`ResultSet`]: residual filter, order
-/// by, limit, projection (including aggregates) and highlights.
-fn finish_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    rows: Vec<Vec<TupleId>>,
-) -> Result<ResultSet, PsqlError> {
-    // Residual where-clause.
-    #[allow(unused_mut)]
-    let mut kept: Vec<Vec<TupleId>> = Vec::new();
-    for row in rows {
-        let keep = match &plan.residual {
-            Some(expr) => eval_expr(db, plan, functions, &row, expr)?,
-            None => true,
-        };
-        if keep {
-            kept.push(row);
-        }
-    }
+/// One candidate row: a tuple per `from` slot, ordered by from-position
+/// (single-relation plans leave slot 1 unused).
+type Row = [TupleId; 2];
 
-    // Ordering and limit (before projection so the sort key need not be
-    // selected).
-    if let Some((key, ascending)) = &plan.order_by {
-        let mut keyed: Vec<(Value, Vec<TupleId>)> = Vec::with_capacity(kept.len());
-        for row in kept {
-            let v = column_value(db, plan, &row, *key)?.clone();
-            keyed.push((v, row));
-        }
-        keyed.sort_by(|a, b| {
-            if *ascending {
-                a.0.cmp(&b.0)
-            } else {
-                b.0.cmp(&a.0)
-            }
-        });
-        kept = keyed.into_iter().map(|(_, row)| row).collect();
-    }
-    if let Some(n) = plan.limit {
-        kept.truncate(n);
-    }
-
-    // Projection.
-    let columns: Vec<String> = plan
-        .projection
-        .iter()
-        .map(|p| match p {
-            Projection::Column { name, .. } | Projection::Function { name, .. } => name.clone(),
-        })
-        .collect();
-    let has_aggregate = plan.projection.iter().any(
-        |p| matches!(p, Projection::Function { function, .. } if functions.is_aggregate(function)),
-    );
-    let mut out_rows = Vec::with_capacity(if has_aggregate { 1 } else { kept.len() });
-    if has_aggregate {
-        // §2.1's aggregate pictorial functions (northest-of, …): the
-        // qualifying rows collapse to a single output row; every target
-        // must be an aggregate over a loc column.
-        let mut out = Vec::with_capacity(plan.projection.len());
-        for p in &plan.projection {
-            match p {
-                Projection::Function { function, arg, .. } if functions.is_aggregate(function) => {
-                    let mut objects = Vec::with_capacity(kept.len());
-                    for row in &kept {
-                        objects.push(object_of(db, plan, row, *arg)?);
-                    }
-                    out.push(functions.apply_aggregate(function, &objects)?);
-                }
-                _ => {
-                    return Err(PsqlError::Semantic(
-                        "aggregate queries may only select aggregate functions".into(),
-                    ))
-                }
-            }
-        }
-        out_rows.push(out);
-    } else {
-        for row in &kept {
-            let mut out = Vec::with_capacity(plan.projection.len());
-            for p in &plan.projection {
-                match p {
-                    Projection::Column { source, .. } => {
-                        out.push(column_value(db, plan, row, *source)?.clone());
-                    }
-                    Projection::Function {
-                        function,
-                        arg,
-                        name: _,
-                    } => {
-                        let obj = object_of(db, plan, row, *arg)?;
-                        out.push(functions.apply(function, &obj)?);
-                    }
-                }
-            }
-            out_rows.push(out);
-        }
-    }
-
-    // Highlights: every qualifying tuple's associated loc objects.
-    let mut highlights: Vec<Highlight> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for row in &kept {
-        for (rel_idx, rel_name) in plan.relations.iter().enumerate() {
-            for (col_name, picture_name) in db.loc_columns(rel_name) {
-                let rel = db.catalog().relation(rel_name)?;
-                let Some(col_idx) = rel.schema().index_of(&col_name) else {
-                    continue;
-                };
-                if let Some(obj) = rel.get(row[rel_idx])?[col_idx].as_pointer() {
-                    if seen.insert((picture_name.clone(), obj)) {
-                        let label = db
-                            .picture(&picture_name)?
-                            .label(obj)
-                            .unwrap_or("")
-                            .to_owned();
-                        highlights.push(Highlight {
-                            picture: picture_name.clone(),
-                            object: obj,
-                            label,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(ResultSet {
-        columns,
-        rows: out_rows,
-        highlights,
-    })
+/// A plan with its catalog references resolved for one execution.
+struct Bound<'a> {
+    db: &'a PictorialDatabase,
+    plan: &'a Plan,
+    /// The `from` relations, by slot.
+    rels: Vec<&'a Relation>,
+    /// Every associated loc column of the `from` relations, by slot and
+    /// then in declaration order — the order highlights are emitted in.
+    locs: Vec<Loc<'a>>,
 }
 
-/// Produces candidate rows (one `TupleId` per `from`-relation).
-fn candidate_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    scratch: &mut SearchScratch,
-) -> Result<Vec<Vec<TupleId>>, PsqlError> {
-    match &plan.spatial {
-        SpatialStrategy::None => {
-            let rel_name = &plan.relations[0];
-            let rel = db.catalog().relation(rel_name)?;
-            let tids: Vec<TupleId> = match &plan.access {
-                Access::FullScan => rel.scan().map(|(tid, _)| tid).collect(),
-                Access::IndexRange { column, lo, hi } => {
-                    let index = db.catalog().index(rel_name, column).ok_or_else(|| {
-                        PsqlError::Internal(format!(
-                            "planner chose missing index {rel_name}.{column}"
-                        ))
-                    })?;
-                    index
-                        .range(lo.as_ref(), hi.as_ref())
-                        .into_iter()
-                        .map(|(_, tid)| tid)
-                        .collect()
-                }
-            };
-            Ok(tids.into_iter().map(|t| vec![t]).collect())
-        }
-        SpatialStrategy::Window {
-            column,
-            picture,
-            op,
-            window,
-        } => {
-            let pic = db.picture(picture)?;
-            let objs = pic.search_window_fast(*op, window, scratch);
-            objects_to_rows(db, plan, *column, &objs)
-        }
-        SpatialStrategy::Nearest {
-            column,
-            picture,
-            k,
-            point,
-        } => {
-            let pic = db.picture(picture)?;
-            // Rows come back ascending by distance; objects_to_rows
-            // preserves that order for the result set.
-            let objs = pic.nearest_fast(*point, *k, scratch);
-            objects_to_rows(db, plan, *column, &objs)
-        }
-        SpatialStrategy::Nested {
-            column,
-            picture,
-            op,
-            inner,
-        } => {
-            // Execute the inner mapping; its single projected column is a
-            // loc pointer into the inner picture. It shares this query's
-            // scratch: the inner searches are done (and their results
-            // copied out) before the outer searches begin.
-            let inner_result = execute_plan_with_scratch(db, inner, functions, scratch)?;
-            let (inner_rel, inner_col) = match &inner.projection[0] {
-                Projection::Column { source, .. } => {
-                    let rel_name = &inner.relations[source.rel];
-                    let schema = db.catalog().relation(rel_name)?.schema().clone();
-                    (rel_name.clone(), schema.columns()[source.col].name.clone())
-                }
-                Projection::Function { .. } => {
-                    return Err(PsqlError::Semantic(
-                        "nested mapping must select a loc column".into(),
-                    ))
-                }
-            };
-            let inner_picture_name = db.association(&inner_rel, &inner_col).ok_or_else(|| {
-                PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
-            })?;
-            let inner_picture = db.picture(inner_picture_name)?;
+/// An associated loc column of one `from` slot.
+struct Loc<'a> {
+    slot: usize,
+    assoc: &'a Association,
+    picture: &'a Picture,
+    /// Index of the first `locs` entry on the same picture; with the
+    /// object id, the key highlights are deduplicated on.
+    picture_key: usize,
+}
 
-            // "The binding of the top level window is dynamically done
-            // during the evaluation of the query": search the outer
-            // picture once per inner location.
-            let pic = db.picture(picture)?;
-            let mut objs: Vec<u64> = Vec::new();
-            let mut dedupe = std::collections::HashSet::new();
-            for row in &inner_result.rows {
-                let Some(obj_id) = row[0].as_pointer() else {
-                    continue;
-                };
-                let inner_obj = inner_picture.object(obj_id).ok_or_else(|| {
-                    PsqlError::Semantic(format!("dangling pointer {obj_id} in nested result"))
-                })?;
-                for cand in
-                    pic.search_window_fast(SpatialOp::Overlapping, &inner_obj.mbr(), scratch)
-                {
-                    let outer_obj = pic.object(cand).ok_or_else(|| {
-                        PsqlError::Internal(format!("search returned unknown object {cand}"))
-                    })?;
-                    if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
-                        objs.push(cand);
+/// Tuples linked to `object` through `loc`, none if the column has no
+/// association.
+fn linked<'a>(loc: Option<&Loc<'a>>, object: u64) -> &'a [TupleId] {
+    loc.map_or(&[], |l| l.assoc.tuples_of(object))
+}
+
+impl<'a> Bound<'a> {
+    fn new(db: &'a PictorialDatabase, plan: &'a Plan) -> Result<Self, PsqlError> {
+        let mut rels = Vec::with_capacity(plan.relations.len());
+        let mut locs: Vec<Loc<'a>> = Vec::new();
+        for (slot, name) in plan.relations.iter().enumerate() {
+            rels.push(db.catalog().relation(name)?);
+            for assoc in db.associations(name) {
+                let picture = db.picture(assoc.picture())?;
+                let picture_key = locs
+                    .iter()
+                    .position(|l| l.assoc.picture() == assoc.picture())
+                    .unwrap_or(locs.len());
+                locs.push(Loc {
+                    slot,
+                    assoc,
+                    picture,
+                    picture_key,
+                });
+            }
+        }
+        Ok(Bound {
+            db,
+            plan,
+            rels,
+            locs,
+        })
+    }
+
+    /// The association of column `rc`, if it is a loc column.
+    fn loc(&self, rc: ResolvedColumn) -> Option<&Loc<'a>> {
+        self.locs
+            .iter()
+            .find(|l| l.slot == rc.rel && l.assoc.column_index() == rc.col)
+    }
+
+    fn value(&self, row: &Row, rc: ResolvedColumn) -> Result<&'a Value, PsqlError> {
+        Ok(&self.rels[rc.rel].get(row[rc.rel])?[rc.col])
+    }
+
+    /// The spatial object a pointer column of this row refers to.
+    fn object_of(&self, row: &Row, rc: ResolvedColumn) -> Result<&'a SpatialObject, PsqlError> {
+        let schema = self.rels[rc.rel].schema();
+        debug_assert_eq!(schema.columns()[rc.col].ty, ColumnType::Pointer);
+        let obj_id = self
+            .value(row, rc)?
+            .as_pointer()
+            .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
+        let loc = self.loc(rc).ok_or_else(|| {
+            let rel_name = &self.plan.relations[rc.rel];
+            let col_name = &schema.columns()[rc.col].name;
+            PsqlError::Semantic(format!("{rel_name}.{col_name} has no picture association"))
+        })?;
+        loc.picture
+            .object(obj_id)
+            .ok_or_else(|| PsqlError::Semantic(format!("dangling pointer {obj_id}")))
+    }
+
+    /// Maps qualifying object ids back to tuples of `column`'s relation
+    /// (forward direct search through the backward pointers, §2.1).
+    fn objects_to_rows(&self, column: ResolvedColumn, objs: &[u64]) -> Vec<Row> {
+        let loc = self.loc(column);
+        let mut rows = Vec::with_capacity(objs.len());
+        for &obj in objs {
+            for &tid in linked(loc, obj) {
+                rows.push([tid, TupleId(0)]);
+            }
+        }
+        rows
+    }
+
+    /// Produces candidate rows.
+    fn candidate_rows(
+        &self,
+        functions: &FunctionRegistry,
+        scratch: &mut SearchScratch,
+    ) -> Result<Vec<Row>, PsqlError> {
+        let db = self.db;
+        match &self.plan.spatial {
+            SpatialStrategy::None => {
+                let rel_name = &self.plan.relations[0];
+                let rel = self.rels[0];
+                let rows = match &self.plan.access {
+                    Access::FullScan => rel.scan().map(|(tid, _)| [tid, TupleId(0)]).collect(),
+                    Access::IndexRange { column, lo, hi } => {
+                        let index = db.catalog().index(rel_name, column).ok_or_else(|| {
+                            PsqlError::Internal(format!(
+                                "planner chose missing index {rel_name}.{column}"
+                            ))
+                        })?;
+                        index
+                            .range(lo.as_ref(), hi.as_ref())
+                            .into_iter()
+                            .map(|(_, tid)| [tid, TupleId(0)])
+                            .collect()
                     }
-                }
-                // Disjointness cannot be found via overlap candidates.
-                if *op == SpatialOp::Disjoined {
-                    for cand in pic.object_ids() {
+                };
+                Ok(rows)
+            }
+            SpatialStrategy::Window {
+                column,
+                picture,
+                op,
+                window,
+            } => {
+                let pic = db.picture(picture)?;
+                let objs = pic.search_window_fast(*op, window, scratch);
+                Ok(self.objects_to_rows(*column, &objs))
+            }
+            SpatialStrategy::Nearest {
+                column,
+                picture,
+                k,
+                point,
+            } => {
+                let pic = db.picture(picture)?;
+                // Rows come back ascending by distance; objects_to_rows
+                // preserves that order for the result set.
+                let objs = pic.nearest_fast(*point, *k, scratch);
+                Ok(self.objects_to_rows(*column, &objs))
+            }
+            SpatialStrategy::Nested {
+                column,
+                picture,
+                op,
+                inner,
+            } => {
+                // Execute the inner mapping; its single projected column
+                // is a loc pointer into the inner picture. It shares this
+                // query's scratch: the inner searches are done (and their
+                // results copied out) before the outer searches begin.
+                let inner_result = execute_plan_with_scratch(db, inner, functions, scratch)?;
+                let (inner_rel, inner_col) = match &inner.projection[0] {
+                    Projection::Column { source, .. } => {
+                        let rel_name = &inner.relations[source.rel];
+                        let schema = db.catalog().relation(rel_name)?.schema();
+                        (rel_name, &schema.columns()[source.col].name)
+                    }
+                    Projection::Function { .. } => {
+                        return Err(PsqlError::Semantic(
+                            "nested mapping must select a loc column".into(),
+                        ))
+                    }
+                };
+                let inner_picture_name = db.association(inner_rel, inner_col).ok_or_else(|| {
+                    PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
+                })?;
+                let inner_picture = db.picture(inner_picture_name)?;
+
+                // "The binding of the top level window is dynamically done
+                // during the evaluation of the query": search the outer
+                // picture once per inner location.
+                let pic = db.picture(picture)?;
+                let mut objs: Vec<u64> = Vec::new();
+                let mut dedupe = HashSet::new();
+                for row in &inner_result.rows {
+                    let Some(obj_id) = row[0].as_pointer() else {
+                        continue;
+                    };
+                    let inner_obj = inner_picture.object(obj_id).ok_or_else(|| {
+                        PsqlError::Semantic(format!("dangling pointer {obj_id} in nested result"))
+                    })?;
+                    for cand in
+                        pic.search_window_fast(SpatialOp::Overlapping, &inner_obj.mbr(), scratch)
+                    {
                         let outer_obj = pic.object(cand).ok_or_else(|| {
-                            PsqlError::Internal(format!("object id {cand} out of range"))
+                            PsqlError::Internal(format!("search returned unknown object {cand}"))
                         })?;
                         if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
                             objs.push(cand);
                         }
                     }
+                    // Disjointness cannot be found via overlap candidates.
+                    if *op == SpatialOp::Disjoined {
+                        for cand in pic.object_ids() {
+                            let outer_obj = pic.object(cand).ok_or_else(|| {
+                                PsqlError::Internal(format!("object id {cand} out of range"))
+                            })?;
+                            if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
+                                objs.push(cand);
+                            }
+                        }
+                    }
                 }
+                Ok(self.objects_to_rows(*column, &objs))
             }
-            objects_to_rows(db, plan, *column, &objs)
-        }
-        SpatialStrategy::Juxtapose {
-            left,
-            left_picture,
-            right,
-            right_picture,
-            op,
-        } => {
-            let lp = db.picture(left_picture)?;
-            let rp = db.picture(right_picture)?;
-            let mut join_stats = JoinStats::default();
-            // Frozen joins are bit-identical to pointer-tree joins (same
-            // pair order, same stats) and are used whenever both sides
-            // are packed; buffered delta writes merge in as extra join
-            // terms (see `picture_join`).
-            let pairs = picture_join(lp, rp, *op, &mut join_stats);
-            let mut rows = Vec::new();
-            for (ItemId(lo), ItemId(ro)) in pairs {
-                let lobj = lp.object(lo).ok_or_else(|| {
-                    PsqlError::Internal(format!("join produced unknown left object {lo}"))
-                })?;
-                let robj = rp.object(ro).ok_or_else(|| {
-                    PsqlError::Internal(format!("join produced unknown right object {ro}"))
-                })?;
-                if !op.eval_objects(lobj, robj) {
-                    continue;
+            SpatialStrategy::Juxtapose {
+                left,
+                left_picture,
+                right,
+                right_picture,
+                op,
+            } => {
+                let lp = db.picture(left_picture)?;
+                let rp = db.picture(right_picture)?;
+                let (lloc, rloc) = (self.loc(*left), self.loc(*right));
+                let mut join_stats = JoinStats::default();
+                // Frozen joins are bit-identical to pointer-tree joins
+                // (same pair order, same stats) and are used whenever both
+                // sides are packed; buffered delta writes merge in as
+                // extra join terms (see `picture_join`).
+                let pairs = picture_join(lp, rp, *op, &mut join_stats);
+                let mut rows = Vec::new();
+                for (ItemId(lo), ItemId(ro)) in pairs {
+                    let lobj = lp.object(lo).ok_or_else(|| {
+                        PsqlError::Internal(format!("join produced unknown left object {lo}"))
+                    })?;
+                    let robj = rp.object(ro).ok_or_else(|| {
+                        PsqlError::Internal(format!("join produced unknown right object {ro}"))
+                    })?;
+                    if !op.eval_objects(lobj, robj) {
+                        continue;
+                    }
+                    for &lt in linked(lloc, lo) {
+                        for &rt in linked(rloc, ro) {
+                            let mut row = [TupleId(0); 2];
+                            row[left.rel] = lt;
+                            row[right.rel] = rt;
+                            rows.push(row);
+                        }
+                    }
                 }
-                let lrel = &plan.relations[left.rel];
-                let rrel = &plan.relations[right.rel];
-                let lcol = loc_column_name(db, lrel, *left)?;
-                let rcol = loc_column_name(db, rrel, *right)?;
-                for &lt in db.tuples_of_object(lrel, &lcol, lo) {
-                    for &rt in db.tuples_of_object(rrel, &rcol, ro) {
-                        // Row slots are ordered by from-position.
-                        let mut row = vec![TupleId(0); 2];
-                        row[left.rel] = lt;
-                        row[right.rel] = rt;
-                        rows.push(row);
+                Ok(rows)
+            }
+        }
+    }
+
+    /// Turns candidate rows into a [`ResultSet`]: residual filter, order
+    /// by, limit, projection (including aggregates) and highlights.
+    fn finish(&self, functions: &FunctionRegistry, rows: Vec<Row>) -> Result<ResultSet, PsqlError> {
+        let plan = self.plan;
+        let mut kept = match &plan.residual {
+            Some(filter) => {
+                let mut kept = Vec::with_capacity(rows.len());
+                for row in rows {
+                    if self.eval(functions, &row, filter)? {
+                        kept.push(row);
+                    }
+                }
+                kept
+            }
+            None => rows,
+        };
+
+        // Ordering and limit (before projection so the sort key need not
+        // be selected).
+        if let Some((key, ascending)) = plan.order_by {
+            let mut keyed: Vec<(&Value, Row)> = Vec::with_capacity(kept.len());
+            for row in kept {
+                keyed.push((self.value(&row, key)?, row));
+            }
+            keyed.sort_by(|a, b| {
+                if ascending {
+                    a.0.cmp(b.0)
+                } else {
+                    b.0.cmp(a.0)
+                }
+            });
+            kept = keyed.into_iter().map(|(_, row)| row).collect();
+        }
+        if let Some(n) = plan.limit {
+            kept.truncate(n);
+        }
+
+        // Projection.
+        let columns: Vec<String> = plan
+            .projection
+            .iter()
+            .map(|p| match p {
+                Projection::Column { name, .. } | Projection::Function { name, .. } => name.clone(),
+            })
+            .collect();
+        let has_aggregate = plan.projection.iter().any(
+            |p| matches!(p, Projection::Function { function, .. } if functions.is_aggregate(function)),
+        );
+        let mut out_rows = Vec::with_capacity(if has_aggregate { 1 } else { kept.len() });
+        if has_aggregate {
+            // §2.1's aggregate pictorial functions (northest-of, …): the
+            // qualifying rows collapse to a single output row; every
+            // target must be an aggregate over a loc column.
+            let mut out = Vec::with_capacity(plan.projection.len());
+            for p in &plan.projection {
+                match p {
+                    Projection::Function { function, arg, .. }
+                        if functions.is_aggregate(function) =>
+                    {
+                        let mut objects = Vec::with_capacity(kept.len());
+                        for row in &kept {
+                            objects.push(self.object_of(row, *arg)?.clone());
+                        }
+                        out.push(functions.apply_aggregate(function, &objects)?);
+                    }
+                    _ => {
+                        return Err(PsqlError::Semantic(
+                            "aggregate queries may only select aggregate functions".into(),
+                        ))
                     }
                 }
             }
-            Ok(rows)
-        }
-    }
-}
-
-/// Maps qualifying object ids back to tuples of relation 0 (forward
-/// direct search through the backward pointers, §2.1).
-fn objects_to_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    column: ResolvedColumn,
-    objs: &[u64],
-) -> Result<Vec<Vec<TupleId>>, PsqlError> {
-    let rel_name = &plan.relations[column.rel];
-    let col_name = loc_column_name(db, rel_name, column)?;
-    let mut rows = Vec::new();
-    for &obj in objs {
-        for &tid in db.tuples_of_object(rel_name, &col_name, obj) {
-            rows.push(vec![tid]);
-        }
-    }
-    Ok(rows)
-}
-
-fn loc_column_name(
-    db: &PictorialDatabase,
-    rel_name: &str,
-    rc: ResolvedColumn,
-) -> Result<String, PsqlError> {
-    let schema = db.catalog().relation(rel_name)?.schema().clone();
-    Ok(schema.columns()[rc.col].name.clone())
-}
-
-fn column_value<'a>(
-    db: &'a PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    rc: ResolvedColumn,
-) -> Result<&'a Value, PsqlError> {
-    let rel_name = &plan.relations[rc.rel];
-    let rel = db.catalog().relation(rel_name)?;
-    Ok(&rel.get(row[rc.rel])?[rc.col])
-}
-
-/// The spatial object a pointer column of this row refers to.
-fn object_of(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    rc: ResolvedColumn,
-) -> Result<SpatialObject, PsqlError> {
-    let rel_name = &plan.relations[rc.rel];
-    let rel = db.catalog().relation(rel_name)?;
-    let schema = rel.schema();
-    debug_assert_eq!(schema.columns()[rc.col].ty, ColumnType::Pointer);
-    let value = &rel.get(row[rc.rel])?[rc.col];
-    let obj_id = value
-        .as_pointer()
-        .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
-    let col_name = &schema.columns()[rc.col].name;
-    let picture = db.association(rel_name, col_name).ok_or_else(|| {
-        PsqlError::Semantic(format!("{rel_name}.{col_name} has no picture association"))
-    })?;
-    db.picture(picture)?
-        .object(obj_id)
-        .cloned()
-        .ok_or_else(|| PsqlError::Semantic(format!("dangling pointer {obj_id}")))
-}
-
-fn eval_expr(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    row: &[TupleId],
-    expr: &Expr,
-) -> Result<bool, PsqlError> {
-    match expr {
-        Expr::Compare { lhs, op, rhs } => {
-            let left = match lhs {
-                Operand::Column(cr) => resolve_value(db, plan, row, cr)?,
-                Operand::Function { name, arg } => {
-                    let rc = resolve_ref(db, plan, arg)?;
-                    let obj = object_of(db, plan, row, rc)?;
-                    functions.apply(name, &obj)?
+            out_rows.push(out);
+        } else {
+            for row in &kept {
+                let mut out = Vec::with_capacity(plan.projection.len());
+                for p in &plan.projection {
+                    match p {
+                        Projection::Column { source, .. } => {
+                            out.push(self.value(row, *source)?.clone());
+                        }
+                        Projection::Function { function, arg, .. } => {
+                            out.push(functions.apply(function, self.object_of(row, *arg)?)?);
+                        }
+                    }
                 }
-            };
-            Ok(op.eval(&left, rhs))
+                out_rows.push(out);
+            }
         }
-        Expr::And(a, b) => {
-            Ok(eval_expr(db, plan, functions, row, a)? && eval_expr(db, plan, functions, row, b)?)
-        }
-        Expr::Or(a, b) => {
-            Ok(eval_expr(db, plan, functions, row, a)? || eval_expr(db, plan, functions, row, b)?)
-        }
-        Expr::Not(e) => Ok(!eval_expr(db, plan, functions, row, e)?),
-    }
-}
 
-fn resolve_ref(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    cr: &ColumnRef,
-) -> Result<ResolvedColumn, PsqlError> {
-    plan::Resolver {
-        db,
-        from: &plan.relations,
-    }
-    .resolve(cr)
-}
+        // Highlights: every qualifying tuple's associated loc objects,
+        // each (picture, object) once.
+        let mut highlights: Vec<Highlight> = Vec::new();
+        let mut seen = HashSet::new();
+        for row in &kept {
+            for loc in &self.locs {
+                let tuple = self.rels[loc.slot].get(row[loc.slot])?;
+                if let Some(obj) = tuple[loc.assoc.column_index()].as_pointer() {
+                    if seen.insert((loc.picture_key, obj)) {
+                        highlights.push(Highlight {
+                            picture: loc.assoc.picture().to_owned(),
+                            object: obj,
+                            label: loc.picture.label(obj).unwrap_or("").to_owned(),
+                        });
+                    }
+                }
+            }
+        }
 
-fn resolve_value(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    cr: &ColumnRef,
-) -> Result<Value, PsqlError> {
-    let rc = resolve_ref(db, plan, cr)?;
-    Ok(column_value(db, plan, row, rc)?.clone())
+        Ok(ResultSet {
+            columns,
+            rows: out_rows,
+            highlights,
+        })
+    }
+
+    fn eval(
+        &self,
+        functions: &FunctionRegistry,
+        row: &Row,
+        filter: &Filter,
+    ) -> Result<bool, PsqlError> {
+        match filter {
+            Filter::Compare { lhs, op, rhs } => Ok(match lhs {
+                FilterOperand::Column(rc) => op.eval(self.value(row, *rc)?, rhs),
+                FilterOperand::Function { name, arg } => {
+                    op.eval(&functions.apply(name, self.object_of(row, *arg)?)?, rhs)
+                }
+            }),
+            Filter::And(a, b) => Ok(self.eval(functions, row, a)? && self.eval(functions, row, b)?),
+            Filter::Or(a, b) => Ok(self.eval(functions, row, a)? || self.eval(functions, row, b)?),
+            Filter::Not(e) => Ok(!self.eval(functions, row, e)?),
+        }
+    }
 }
 
 /// Convenience used by examples and benches: parse + execute.
@@ -826,6 +822,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.rows[0][0], Value::Int(12));
+    }
+
+    #[test]
+    fn two_relations_without_juxtaposition_rejected() {
+        // There is no cross product: without a juxtaposition at-clause a
+        // second relation has no tuples to pair with, so the query must
+        // fail rather than return rows.
+        let db = db();
+        for text in [
+            "select city, states.state from cities, states",
+            "select * from cities, states where population > 1",
+        ] {
+            match query(&db, text) {
+                Err(PsqlError::Semantic(msg)) => assert!(msg.contains("juxtaposition"), "{msg}"),
+                other => panic!("{text}: expected a semantic error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod ast;
+mod backlinks;
 pub mod database;
 pub mod error;
 pub mod exec;

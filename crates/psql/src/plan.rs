@@ -99,6 +99,41 @@ pub enum SpatialStrategy {
     },
 }
 
+/// A `where` expression with its column references resolved, so
+/// executing it reads tuple slots directly.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Filter {
+    /// `lhs op rhs`.
+    Compare {
+        /// Left side.
+        lhs: FilterOperand,
+        /// Comparison.
+        op: CompareOp,
+        /// Literal right side.
+        rhs: Value,
+    },
+    /// Both hold.
+    And(Box<Filter>, Box<Filter>),
+    /// Either holds.
+    Or(Box<Filter>, Box<Filter>),
+    /// Negation.
+    Not(Box<Filter>),
+}
+
+/// The left side of a resolved comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FilterOperand {
+    /// A plain column.
+    Column(ResolvedColumn),
+    /// A pictorial function over a `loc` column.
+    Function {
+        /// Function name.
+        name: String,
+        /// Resolved `loc` argument.
+        arg: ResolvedColumn,
+    },
+}
+
 /// One projected output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Projection {
@@ -129,8 +164,8 @@ pub struct Plan {
     pub access: Access,
     /// The spatial strategy.
     pub spatial: SpatialStrategy,
-    /// The full `where` expression, applied residually.
-    pub residual: Option<Expr>,
+    /// The full `where` expression, resolved, applied residually.
+    pub residual: Option<Filter>,
     /// The output columns.
     pub projection: Vec<Projection>,
     /// Optional ordering (resolved column + direction).
@@ -220,6 +255,13 @@ pub fn plan(db: &PictorialDatabase, query: &Query) -> Result<Plan, PsqlError> {
     };
 
     let spatial = match (&query.at, &query.nearest) {
+        // Two relations are only ever combined by juxtaposition; there
+        // is no cross product.
+        (None, None) if query.from.len() == 2 => {
+            return Err(PsqlError::Semantic(
+                "two relations need a juxtaposition at-clause".into(),
+            ))
+        }
         (None, None) => SpatialStrategy::None,
         (Some(at), _) => plan_at(db, query, &resolver, at)?,
         (None, Some(nearest)) => plan_nearest(query, &resolver, nearest)?,
@@ -276,9 +318,10 @@ pub fn plan(db: &PictorialDatabase, query: &Query) -> Result<Plan, PsqlError> {
     }
 
     // Resolve every column mentioned in where (fail early on typos).
-    if let Some(expr) = &query.where_clause {
-        validate_expr(&resolver, expr)?;
-    }
+    let residual = match &query.where_clause {
+        Some(expr) => Some(resolve_expr(&resolver, expr)?),
+        None => None,
+    };
 
     let order_by = match &query.order_by {
         Some(OrderBy { column, ascending }) => Some((resolver.resolve(column)?, *ascending)),
@@ -289,7 +332,7 @@ pub fn plan(db: &PictorialDatabase, query: &Query) -> Result<Plan, PsqlError> {
         relations: query.from.clone(),
         access,
         spatial,
-        residual: query.where_clause.clone(),
+        residual,
         projection,
         order_by,
         limit: query.limit,
@@ -462,26 +505,28 @@ fn pick_index(db: &PictorialDatabase, relation: &str, where_clause: Option<&Expr
         .unwrap_or(Access::FullScan)
 }
 
-fn validate_expr(resolver: &Resolver<'_>, expr: &Expr) -> Result<(), PsqlError> {
-    match expr {
-        Expr::Compare { lhs, .. } => {
-            match lhs {
-                Operand::Column(cr) => {
-                    resolver.resolve(cr)?;
-                }
-                Operand::Function { arg, .. } => {
+fn resolve_expr(resolver: &Resolver<'_>, expr: &Expr) -> Result<Filter, PsqlError> {
+    let boxed = |e: &Expr| resolve_expr(resolver, e).map(Box::new);
+    Ok(match expr {
+        Expr::Compare { lhs, op, rhs } => Filter::Compare {
+            lhs: match lhs {
+                Operand::Column(cr) => FilterOperand::Column(resolver.resolve(cr)?),
+                Operand::Function { name, arg } => {
                     let r = resolver.resolve(arg)?;
                     resolver.require_pointer(arg, r)?;
+                    FilterOperand::Function {
+                        name: name.clone(),
+                        arg: r,
+                    }
                 }
-            }
-            Ok(())
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            validate_expr(resolver, a)?;
-            validate_expr(resolver, b)
-        }
-        Expr::Not(e) => validate_expr(resolver, e),
-    }
+            },
+            op: *op,
+            rhs: rhs.clone(),
+        },
+        Expr::And(a, b) => Filter::And(boxed(a)?, boxed(b)?),
+        Expr::Or(a, b) => Filter::Or(boxed(a)?, boxed(b)?),
+        Expr::Not(e) => Filter::Not(boxed(e)?),
+    })
 }
 
 /// Column-name resolution over the `from` list.
@@ -697,6 +742,9 @@ mod tests {
             "select city from cities on state-map at loc covered-by {1 +- 1, 2 +- 2}",
             // ambiguous unqualified column:
             "select state from cities, states at cities.loc covered-by states.loc",
+            // two relations without a juxtaposition:
+            "select city, states.state from cities, states",
+            "select city from cities, states where population > 1",
             // nested query selecting more than a loc:
             "select lake from lakes at lakes.loc covered-by (select state, states.loc from states)",
         ] {

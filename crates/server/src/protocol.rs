@@ -685,33 +685,54 @@ pub fn peek_request_id(payload: &[u8]) -> u64 {
 /// Encodes a response payload (frame body, without the length header).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Encodes a response as one whole frame: the length header followed
+/// by the [`encode_response`] payload, written in place so the payload
+/// is never copied behind its header.
+pub fn encode_response_frame(resp: &Response) -> Vec<u8> {
+    let mut out = vec![0; 4];
+    put_response(&mut out, resp);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    out
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Result { id, epoch, result } => {
+            // Reserve from the counts (a number is a tag and 8 bytes, a
+            // highlight at least two string lengths and an object id) so
+            // a large result is not grown from empty by doubling.
+            let values = result.rows.len() * result.columns.len();
+            out.reserve(32 + 9 * values + 16 * result.highlights.len());
             out.extend_from_slice(&id.to_be_bytes());
             out.push(ST_RESULT);
             out.extend_from_slice(&epoch.to_be_bytes());
             out.extend_from_slice(&(result.columns.len() as u16).to_be_bytes());
             for col in &result.columns {
-                put_string(&mut out, col);
+                put_string(out, col);
             }
             out.extend_from_slice(&(result.rows.len() as u32).to_be_bytes());
             for row in &result.rows {
                 for v in row {
-                    put_value(&mut out, v);
+                    put_value(out, v);
                 }
             }
             out.extend_from_slice(&(result.highlights.len() as u32).to_be_bytes());
             for h in &result.highlights {
-                put_string(&mut out, &h.picture);
+                put_string(out, &h.picture);
                 out.extend_from_slice(&h.object.to_be_bytes());
-                put_string(&mut out, &h.label);
+                put_string(out, &h.label);
             }
         }
         Response::Error { id, kind, message } => {
             out.extend_from_slice(&id.to_be_bytes());
             out.push(ST_ERROR);
             out.push(kind.to_u8());
-            put_string(&mut out, message);
+            put_string(out, message);
         }
         Response::Timeout { id } => {
             out.extend_from_slice(&id.to_be_bytes());
@@ -729,7 +750,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Stats { id, json } => {
             out.extend_from_slice(&id.to_be_bytes());
             out.push(ST_STATS);
-            put_string(&mut out, json);
+            put_string(out, json);
         }
         Response::Done { id, epoch } => {
             out.extend_from_slice(&id.to_be_bytes());
@@ -737,7 +758,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(&epoch.to_be_bytes());
         }
     }
-    out
 }
 
 /// Decodes a response payload (the client side of the codec).
@@ -829,6 +849,10 @@ mod tests {
     fn roundtrip_response(resp: Response) {
         let enc = encode_response(&resp);
         assert_eq!(decode_response(&enc).unwrap(), resp);
+        // The framed encoding is the same payload behind its length.
+        let frame = encode_response_frame(&resp);
+        assert_eq!(frame[..4], (enc.len() as u32).to_be_bytes());
+        assert_eq!(frame[4..], enc[..]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! connections poison their outbox so late worker responses become
 //! no-ops instead of writes to a recycled slot.
 
-use crate::protocol::{encode_response, FrameDecoder, Response, MAX_FRAME_LEN};
+use crate::protocol::{encode_response_frame, FrameDecoder, Response, MAX_FRAME_LEN};
 use crate::server::{handle_frame, Shared};
 use epoll::{Events, Interest, Poll, Waker};
 use std::collections::VecDeque;
@@ -118,10 +118,7 @@ impl Session {
     /// Queues one response frame for the reactor to write. Atomic per
     /// frame; callable from any thread; never blocks on the socket.
     pub(crate) fn send(&self, resp: &Response) {
-        let payload = encode_response(resp);
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = encode_response_frame(resp);
         {
             let mut ob = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
             if ob.dead {
